@@ -13,10 +13,19 @@
 use crate::order::OrderInput;
 use sm_graph::traversal::BfsTree;
 use sm_graph::VertexId;
-use std::collections::HashMap;
 
 /// Compute CFL's matching order.
 pub fn cfl_order(input: &OrderInput<'_>) -> Vec<VertexId> {
+    let nv = input.g.graph.num_vertices();
+    let mut weights = [vec![0.0; nv], vec![0.0; nv]];
+    cfl_order_by(input, |p| suffix_embedding_counts(input, p, &mut weights))
+}
+
+/// CFL's order given the per-path suffix embedding estimator.
+fn cfl_order_by(
+    input: &OrderInput<'_>,
+    mut path_counts: impl FnMut(&[VertexId]) -> Vec<f64>,
+) -> Vec<VertexId> {
     let q = input.q.graph;
     let n = q.num_vertices();
     if n == 1 {
@@ -36,10 +45,7 @@ pub fn cfl_order(input: &OrderInput<'_>) -> Vec<VertexId> {
     let non_tree: Vec<(VertexId, VertexId)> = tree.non_tree_edges(q);
 
     // Per-path suffix embedding estimates via DP over candidate adjacency.
-    let path_sums: Vec<Vec<f64>> = paths
-        .iter()
-        .map(|p| suffix_embedding_counts(input, p))
-        .collect();
+    let path_sums: Vec<Vec<f64>> = paths.iter().map(|p| path_counts(p)).collect();
 
     let nt_count = |p: &[VertexId]| -> usize {
         non_tree
@@ -106,34 +112,45 @@ pub fn cfl_order(input: &OrderInput<'_>) -> Vec<VertexId> {
 
 /// `sums[j] = Σ_{v ∈ C(p_j)} W_j(v)` where `W_j(v)` counts embeddings of
 /// the path suffix `p_j..` starting at `v`, following candidate adjacency.
-fn suffix_embedding_counts(input: &OrderInput<'_>, path: &[VertexId]) -> Vec<f64> {
+///
+/// `weights` holds two dense per-data-vertex buffers, all zero on entry
+/// and on return. Level `j` writes `W_j` into one while reading `W_{j+1}`
+/// from the other, then zeroes only the entries of `C(p_{j+1})` it just
+/// consumed, so a path costs `O(Σ |C(p_j)| · deg)` whatever `|V(G)|` is.
+fn suffix_embedding_counts(
+    input: &OrderInput<'_>,
+    path: &[VertexId],
+    weights: &mut [Vec<f64>; 2],
+) -> Vec<f64> {
     let g = input.g.graph;
     let c = input.candidates;
     let k = path.len();
     let mut sums = vec![0.0; k];
-    // weights for level j+1, keyed by data vertex
-    let mut next: HashMap<VertexId, f64> = HashMap::new();
+    let [a, b] = weights;
+    let (mut cur, mut next) = (&mut a[..], &mut b[..]);
     for (j, &u) in path.iter().enumerate().rev() {
-        let mut cur: HashMap<VertexId, f64> = HashMap::with_capacity(c.get(u).len());
+        let mut sum = 0.0;
         if j + 1 == k {
             for &v in c.get(u) {
-                cur.insert(v, 1.0);
+                cur[v as usize] = 1.0;
+                sum += 1.0;
             }
         } else {
             for &v in c.get(u) {
-                let mut w = 0.0;
-                for &nb in g.neighbors(v) {
-                    if let Some(&wn) = next.get(&nb) {
-                        w += wn;
-                    }
-                }
-                if w > 0.0 {
-                    cur.insert(v, w);
-                }
+                let w: f64 = g.neighbors(v).iter().map(|&nb| next[nb as usize]).sum();
+                cur[v as usize] = w;
+                sum += w;
+            }
+            for &v in c.get(path[j + 1]) {
+                next[v as usize] = 0.0;
             }
         }
-        sums[j] = cur.values().sum();
-        next = cur;
+        sums[j] = sum;
+        std::mem::swap(&mut cur, &mut next);
+    }
+    // `next` now holds level 0's weights.
+    for &v in c.get(path[0]) {
+        next[v as usize] = 0.0;
     }
     sums
 }
@@ -144,6 +161,124 @@ mod tests {
     use crate::fixtures::{paper_data, paper_query};
     use crate::order::{is_connected_order, OrderInput};
     use crate::{DataContext, QueryContext};
+    use std::collections::HashMap;
+
+    /// The original per-level `HashMap` DP, kept as the oracle for the
+    /// dense-buffer version.
+    fn reference_suffix_embedding_counts(input: &OrderInput<'_>, path: &[VertexId]) -> Vec<f64> {
+        let g = input.g.graph;
+        let c = input.candidates;
+        let k = path.len();
+        let mut sums = vec![0.0; k];
+        let mut next: HashMap<VertexId, f64> = HashMap::new();
+        for (j, &u) in path.iter().enumerate().rev() {
+            let mut cur: HashMap<VertexId, f64> = HashMap::with_capacity(c.get(u).len());
+            if j + 1 == k {
+                for &v in c.get(u) {
+                    cur.insert(v, 1.0);
+                }
+            } else {
+                for &v in c.get(u) {
+                    let mut w = 0.0;
+                    for &nb in g.neighbors(v) {
+                        if let Some(&wn) = next.get(&nb) {
+                            w += wn;
+                        }
+                    }
+                    if w > 0.0 {
+                        cur.insert(v, w);
+                    }
+                }
+            }
+            sums[j] = cur.values().sum();
+            next = cur;
+        }
+        sums
+    }
+
+    /// Dense and reference DPs agree on every root-to-leaf path, the
+    /// shared buffers are left all-zero, and both estimators yield the
+    /// same order.
+    fn assert_dense_matches_reference(input: &OrderInput<'_>) {
+        let q = input.q.graph;
+        let owned;
+        let tree = match input.bfs_tree {
+            Some(t) => t,
+            None => {
+                let root = crate::filter::cfl::select_cfl_root(input.q, input.g);
+                owned = BfsTree::build(q, root);
+                &owned
+            }
+        };
+        let nv = input.g.graph.num_vertices();
+        let mut weights = [vec![0.0; nv], vec![0.0; nv]];
+        for p in tree.root_to_leaf_paths() {
+            let dense = suffix_embedding_counts(input, &p, &mut weights);
+            let reference = reference_suffix_embedding_counts(input, &p);
+            assert_eq!(dense, reference, "path {p:?}");
+            assert!(weights.iter().flatten().all(|&w| w == 0.0));
+        }
+        let reference_order = cfl_order_by(input, |p| reference_suffix_embedding_counts(input, p));
+        assert_eq!(cfl_order(input), reference_order);
+    }
+
+    /// Check every candidate source (LDF, NLF, CFL) with and without the
+    /// CFL filter's prebuilt BFS tree.
+    fn check_query(q: &sm_graph::Graph, g: &sm_graph::Graph) -> usize {
+        let qc = QueryContext::new(q);
+        let gc = DataContext::new(g);
+        let Some(cfl) = crate::filter::run_filter(crate::FilterKind::Cfl, &qc, &gc) else {
+            return 0;
+        };
+        let tree = cfl.bfs_tree.clone().expect("CFL builds a BFS tree");
+        let ldf = crate::filter::ldf::ldf_candidates(&qc, &gc);
+        let nlf = crate::filter::nlf::nlf_candidates(&qc, &gc);
+        for cand in [&ldf, &nlf, &cfl.candidates] {
+            for bfs_tree in [None, Some(&tree)] {
+                assert_dense_matches_reference(&OrderInput {
+                    q: &qc,
+                    g: &gc,
+                    candidates: cand,
+                    bfs_tree,
+                    space: None,
+                });
+            }
+        }
+        1
+    }
+
+    #[test]
+    fn dense_dp_matches_reference_on_paper_fixture() {
+        assert_eq!(check_query(&paper_query(), &paper_data()), 1);
+    }
+
+    #[test]
+    fn dense_dp_matches_reference_on_rmat_queries() {
+        use sm_graph::gen::query::{extract_query, Density};
+        use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+        use sm_runtime::rng::Rng64;
+        let g = rmat_graph(2_000, 8.0, 4, RmatParams::PAPER, 0xC0FFEE);
+        let mut rng = Rng64::seed_from_u64(17);
+        let mut checked = 0;
+        for size in [8, 12] {
+            for i in 0..32 {
+                let density = if i % 2 == 0 {
+                    Density::Sparse
+                } else {
+                    Density::Dense
+                };
+                let q = (0..64)
+                    .find_map(|_| extract_query(&g, size, density, &mut rng))
+                    .or_else(|| {
+                        (0..64).find_map(|_| extract_query(&g, size, Density::Any, &mut rng))
+                    })
+                    .expect("query extraction");
+                checked += check_query(&q, &g);
+            }
+        }
+        // Extracted queries embed in `g`, so no filter empties them.
+        assert_eq!(checked, 64);
+    }
 
     #[test]
     fn order_is_connected() {
@@ -180,7 +315,8 @@ mod tests {
             bfs_tree: None,
             space: None,
         };
-        let sums = suffix_embedding_counts(&input, &[0, 1]);
+        let nv = g.num_vertices();
+        let sums = suffix_embedding_counts(&input, &[0, 1], &mut [vec![0.0; nv], vec![0.0; nv]]);
         // C(u0) = {v0} (only A vertex with degree >= 1 adjacent to B... LDF
         // keeps all A vertices with degree >= 1); each contributes its
         // B-neighbor count. Just sanity: leaf level counts candidates.

@@ -13,7 +13,7 @@ use sm_match::filter::run_filter;
 use sm_match::order::{run_order, OrderInput};
 use sm_match::{
     BailoutMonitor, DataContext, Executor, FilterKind, Injectivity, MatchConfig, Outcome,
-    PlanSelection, QueryContext,
+    PlanSelection, QueryContext, QueryPlan,
 };
 use sm_runtime::trace::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,6 +148,11 @@ impl Planner {
         &self.feedback
     }
 
+    /// Snapshot of the cost model's current (partly learned) parameters.
+    pub fn model(&self) -> ModelParams {
+        self.model.lock().unwrap().clone()
+    }
+
     /// Counter snapshot for trace/metrics exposition.
     pub fn counters(&self) -> PlannerCounters {
         PlannerCounters {
@@ -207,8 +212,10 @@ impl Planner {
         let model = self.model.lock().unwrap().clone();
         let mut scores = Vec::with_capacity(filters.len() * orders.len() * 4);
         // Observed-vs-modeled cost ratios of this form's completed runs,
-        // for calibrating the combos that have no feedback yet.
+        // overall and per order, for calibrating the combos that have no
+        // feedback yet.
         let mut ratios: Vec<f64> = Vec::new();
+        let mut order_ratios: Vec<Vec<f64>> = vec![Vec::new(); ComboOrder::ALL.len()];
         for &filter in filters {
             let prune = if homo { 1.0 } else { filter_prune(filter) };
             for (co, order) in &orders {
@@ -222,7 +229,9 @@ impl Planner {
                         score.from_feedback = true;
                         if fb.runs > fb.bailed_runs {
                             // Measured cost beats modeled cost.
-                            ratios.push(fb.ema_ns / score.est_ns.max(1.0));
+                            let ratio = fb.ema_ns / score.est_ns.max(1.0);
+                            ratios.push(ratio);
+                            order_ratios[order_slot(*co)].push(ratio);
                             score.est_ns = fb.ema_ns;
                             score.est_backtracks = fb.ema_backtracks.max(1.0);
                         } else {
@@ -241,13 +250,19 @@ impl Planner {
         // underestimates this query (measured runs cost more than
         // predicted), scale the *unmeasured* combos by the median
         // observed/modeled ratio so a well-measured winner is not
-        // displaced by an optimistic never-tried prediction. Only
-        // upward (ratio clamped at 1): measured costs may undercut the
-        // model freely, unmeasured ones never do.
+        // displaced by an optimistic never-tried prediction. The walk's
+        // error is mostly the order's, so a combo whose order was
+        // measured takes the larger of the form's and its order's median.
+        // Only upward (ratio clamped at 1): measured costs may undercut
+        // the model freely, unmeasured ones never do.
         if !ratios.is_empty() {
-            ratios.sort_by(f64::total_cmp);
-            let f = ratios[ratios.len() / 2].max(1.0);
+            let form = median(&mut ratios);
+            let per_order: Vec<f64> = order_ratios
+                .iter_mut()
+                .map(|r| if r.is_empty() { 1.0 } else { median(r) })
+                .collect();
             for s in scores.iter_mut().filter(|s| !s.from_feedback) {
+                let f = form.max(per_order[order_slot(s.combo.order)]).max(1.0);
                 s.est_ns *= f;
                 s.est_backtracks *= f;
             }
@@ -284,6 +299,20 @@ impl Planner {
                 .unwrap()
                 .learn_node_cost(obs.enum_ns, obs.recursions);
         }
+    }
+
+    /// Fold a compiled plan's measured filter and build times into the
+    /// model. `score` is the ranking entry `plan` was compiled from.
+    /// Under homomorphism the pipeline bypasses the filter, so only the
+    /// build cost learns.
+    pub fn observe_compile(&self, score: &PlanScore, plan: &QueryPlan) {
+        let homo = plan.config.semantics.injectivity == Injectivity::Homomorphism;
+        let filter_ns = (!homo).then_some(plan.filter_time.as_nanos() as u64);
+        self.model.lock().unwrap().learn_compile_cost(
+            score,
+            filter_ns,
+            plan.build_time.as_nanos() as u64,
+        );
     }
 
     /// Rank, then execute with jump-redo; count-only.
@@ -369,7 +398,10 @@ impl Planner {
             run_cfg.bailout = monitor.clone();
             let start = Instant::now();
             let plan = match score.combo.pipeline().plan(q, g, &run_cfg) {
-                Ok(p) => p,
+                Ok(p) => {
+                    self.observe_compile(score, &p);
+                    p
+                }
                 Err(_filter_time) => {
                     // This combo's filter proved the query unsatisfiable —
                     // filters are complete, so the answer is exact.
@@ -452,6 +484,20 @@ impl Planner {
         }
         unreachable!("the final attempt runs unmonitored and cannot bail")
     }
+}
+
+/// Position of `o` in [`ComboOrder::ALL`].
+fn order_slot(o: ComboOrder) -> usize {
+    ComboOrder::ALL
+        .iter()
+        .position(|&k| k == o)
+        .expect("every order is listed")
+}
+
+/// Upper median of a non-empty sample (sorts it in place).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 #[cfg(test)]
@@ -557,6 +603,117 @@ mod tests {
         let reference = Executor::new(&plan, ctx.graph).run(&mut sink);
         assert_eq!(run.matches, reference.matches);
         assert_eq!(planner.counters().replans_triggered, 1);
+    }
+
+    #[test]
+    fn unmeasured_combos_take_their_orders_calibration() {
+        let q = paper_query();
+        let g = paper_data();
+        let ctx = DataContext::new(&g);
+        let cfg = MatchConfig::default();
+        let planner = Planner::new();
+        let canon = crate::canon_hash(&q);
+        let fresh = planner.rank(&q, &ctx, &cfg, canon);
+        let est = |label: &str| {
+            fresh
+                .iter()
+                .find(|s| s.combo.label() == label)
+                .unwrap()
+                .est_ns
+        };
+        // Two combos measured as predicted, one GQL-order combo at 50x.
+        for (label, ratio) in [
+            ("LDF/QSI/Merge", 1.0),
+            ("NLF/RI/Merge", 1.0),
+            ("GQL/GQL/Merge", 50.0),
+        ] {
+            planner.observe(
+                canon,
+                &ObservedRun {
+                    combo: PlanCombo::parse(label).unwrap(),
+                    total_ns: (est(label) * ratio) as u64,
+                    enum_ns: 1,
+                    recursions: 1,
+                    backtracks: 1,
+                    completed: true,
+                    bailed: false,
+                },
+            );
+        }
+        let reranked = planner.rank(&q, &ctx, &cfg, canon);
+        let now = |label: &str| reranked.iter().find(|s| s.combo.label() == label).unwrap();
+        // The form's median ratio is ~1; the GQL order's is ~50.
+        let gql = now("LDF/GQL/Hybrid");
+        assert!(!gql.from_feedback);
+        let ratio = gql.est_ns / est("LDF/GQL/Hybrid");
+        assert!((ratio - 50.0).abs() < 0.1, "{ratio}");
+        let cfl = now("LDF/CFL/Hybrid").est_ns / est("LDF/CFL/Hybrid");
+        assert!((cfl - 1.0).abs() < 0.01, "{cfl}");
+    }
+
+    /// The first of `tries` seeded RMAT 8-vertex queries that a fresh
+    /// planner ranks with `filter` first.
+    fn query_ranked_first_with(filter: FilterKind, tries: usize) -> Option<(Graph, Graph)> {
+        use sm_graph::gen::query::{extract_query, Density};
+        use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+        use sm_runtime::rng::Rng64;
+        let g = rmat_graph(4_000, 8.0, 4, RmatParams::PAPER, 0xA11CE);
+        let ctx = DataContext::new(&g);
+        let mut rng = Rng64::seed_from_u64(5);
+        let q = (0..tries)
+            .filter_map(|_| extract_query(&g, 8, Density::Any, &mut rng))
+            .find(|q| {
+                let ranked = Planner::new().rank(q, &ctx, &MatchConfig::default(), 0);
+                ranked.first().is_some_and(|s| s.combo.filter == filter)
+            })?;
+        Some((q, g))
+    }
+
+    #[test]
+    fn slow_ceci_compile_demotes_ceci() {
+        let (q, g) = query_ranked_first_with(FilterKind::Ceci, 200)
+            .expect("some RMAT query ranks CECI first");
+        let ctx = DataContext::new(&g);
+        let cfg = MatchConfig::default();
+        let planner = Planner::new();
+        let canon = crate::canon_hash(&q);
+        let first = planner.rank(&q, &ctx, &cfg, canon)[0];
+        assert_eq!(first.combo.filter, FilterKind::Ceci);
+        // Compile the winner, then report its filter at 20x the prior.
+        let mut plan = first.combo.pipeline().plan(&q, &ctx, &cfg).unwrap();
+        let prior = ModelParams::default().filter_prior_ns(FilterKind::Ceci);
+        plan.filter_time = std::time::Duration::from_nanos((20.0 * prior * first.ldf_total) as u64);
+        planner.observe_compile(&first, &plan);
+        let reranked = planner.rank(&q, &ctx, &cfg, canon);
+        assert_ne!(reranked[0].combo.filter, FilterKind::Ceci);
+        // Compile observations never touch the per-form feedback store.
+        assert!(!reranked[0].from_feedback);
+    }
+
+    #[test]
+    fn scores_carry_the_totals_they_were_charged_on() {
+        let q = paper_query();
+        let g = paper_data();
+        let ctx = DataContext::new(&g);
+        let ranked = Planner::new().rank(&q, &ctx, &MatchConfig::default(), 0);
+        let qc = QueryContext::new(&q);
+        let ldf = run_filter(FilterKind::Ldf, &qc, &ctx).unwrap();
+        for s in &ranked {
+            assert_eq!(s.ldf_total, ldf.candidates.total() as f64);
+            assert!(s.pruned_candidates > 0.0 && s.pruned_candidates <= s.ldf_total);
+        }
+    }
+
+    #[test]
+    fn auto_runs_learn_preprocessing_costs() {
+        let (q, g) = query_ranked_first_with(FilterKind::Ceci, 200).unwrap();
+        let ctx = DataContext::new(&g);
+        let planner = Planner::new();
+        let run = planner.run_auto(&q, &ctx, &MatchConfig::default(), 1);
+        let model = planner.model();
+        let slot = crate::model::filter_slot(run.combo.unwrap().filter);
+        assert!(model.filter_ns[slot].is_some());
+        assert_ne!(model.build_ns, ModelParams::default().build_ns);
     }
 
     #[test]

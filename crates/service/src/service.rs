@@ -958,15 +958,13 @@ impl ServiceCore {
                 Some(score) => {
                     let mut auto_cfg = compile_cfg.clone();
                     auto_cfg.intersect = score.combo.kernel;
-                    (
-                        score
-                            .combo
-                            .pipeline()
-                            .plan(query, &ctx, &auto_cfg)
-                            .ok()
-                            .map(Arc::new),
-                        Some(score.combo),
-                    )
+                    let plan = score.combo.pipeline().plan(query, &ctx, &auto_cfg).ok();
+                    // The compile's measured filter and build times teach
+                    // the model what preprocessing really costs.
+                    if let Some(plan) = &plan {
+                        planner.observe_compile(&score, plan);
+                    }
+                    (plan.map(Arc::new), Some(score.combo))
                 }
                 // LDF proved the query unsatisfiable: cache the negative
                 // verdict like a fixed-pipeline compile failure would.

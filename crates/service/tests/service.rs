@@ -375,3 +375,28 @@ fn adaptive_pipeline_runs_whole_plan_morsels() {
         assert_eq!(r.matches, want);
     }
 }
+
+#[test]
+fn auto_service_learns_preprocessing_costs_from_its_compiles() {
+    let g = random_graph(2_000, 3, 8_000, 0xA070);
+    let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2), (0, 2)]);
+    let expected = sequential_count(&q, &g, &ServiceConfig::default().pipeline, None);
+    let svc = Service::new(
+        g.clone(),
+        ServiceConfig {
+            base_config: MatchConfig {
+                plan: sm_match::PlanSelection::Auto,
+                ..MatchConfig::default()
+            },
+            ..ServiceConfig::default()
+        },
+    );
+    let report = svc.run_count(q.clone());
+    assert_eq!(report.outcome, ServiceOutcome::Complete);
+    assert_eq!(report.matches, expected);
+    // The compile of the Auto winner fed its filter and build times to
+    // the model.
+    let model = svc.planner().expect("Auto service").model();
+    assert!(model.filter_ns.iter().any(Option::is_some));
+    assert_ne!(model.build_ns, sm_planner::ModelParams::default().build_ns);
+}

@@ -16,8 +16,10 @@
 # post-compaction reopen replays zero batches) and the planner smoke
 # (self-tuning cost-model planner; asserts warm auto stays within 1.5x
 # of the per-query best fixed combo and a forced misprediction triggers
-# at least one jump-redo replan). Run from anywhere; everything executes
-# at the repo root.
+# at least one jump-redo replan) and the repo benchmark's self-test
+# (every perfbench workload runs briefly, traced and untraced, and must
+# be correct and print every metric BENCHMARK.json declares). Run from
+# anywhere; everything executes at the repo root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,3 +40,5 @@ cargo build --release -p sm-bench
 ./target/release/experiments metrics-overhead --threads 4
 ./target/release/experiments durability --threads 2 --seed 42
 ./target/release/experiments planner --queries 2 --threads 1 --seed 42
+
+python3 perfbench/run.py --self-test

@@ -24,12 +24,18 @@ fn write_fixtures() -> (PathBuf, PathBuf, tempdir::Dir) {
 
 /// Minimal self-cleaning temp dir (no external crates).
 mod tempdir {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     pub struct Dir {
         pub path: std::path::PathBuf,
     }
     impl Dir {
+        /// A fresh dir per call: the tests of this binary run on parallel
+        /// threads of one process, so the pid alone is not unique.
         pub fn new(tag: &str) -> Dir {
-            let path = std::env::temp_dir().join(format!("{tag}_{}", std::process::id()));
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir().join(format!("{tag}_{}_{n}", std::process::id()));
             std::fs::create_dir_all(&path).unwrap();
             Dir { path }
         }
