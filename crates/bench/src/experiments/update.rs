@@ -25,13 +25,13 @@
 use crate::args::HarnessOptions;
 use crate::results::{envelope, write_bench_json, Json};
 use crate::table::{ms, TextTable};
-use sm_delta::{delta_matches, StandingQuery, UpdateStream, UpdateStreamSpec, VersionedGraph};
+use sm_delta::{
+    apply_all, full_matches, StandingSet, UpdateStream, UpdateStreamSpec, VersionedGraph,
+};
 use sm_graph::gen::query::{Density, QuerySetSpec};
 use sm_graph::{Graph, VertexId};
-use sm_match::enumerate::CollectSink;
-use sm_match::{DataContext, FilterKind, LcMethod, MatchConfig, OrderKind, Pipeline};
+use sm_match::DataContext;
 use sm_service::{Service, ServiceConfig};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Update batches applied per run.
@@ -39,33 +39,6 @@ const STEPS: usize = 10;
 /// Operations per batch — small on purpose: the incremental-vs-full
 /// speedup claim is about small deltas.
 const BATCH_OPS: usize = 8;
-
-/// From-scratch sorted embedding set (the representation
-/// `DeltaMatches::apply_to` maintains).
-fn full_matches(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
-    let ctx = DataContext::new(g);
-    let p = Pipeline::new("ref", FilterKind::Ldf, OrderKind::Ri, LcMethod::Direct);
-    let mut sink = CollectSink::default();
-    p.run_with_sink(q, &ctx, &MatchConfig::find_all(), &mut sink);
-    let mut m = sink.matches;
-    m.sort_unstable();
-    m
-}
-
-/// Compile a standing query (plan against the query itself — always
-/// satisfiable; the incremental engine only reads the plan's query).
-fn standing_query(q: &Graph) -> Option<StandingQuery> {
-    let ctx = DataContext::new(q);
-    let order: Vec<VertexId> = (0..q.num_vertices() as VertexId).collect();
-    let p = Pipeline::new(
-        "standing",
-        FilterKind::Ldf,
-        OrderKind::Fixed(order),
-        LcMethod::Direct,
-    );
-    let plan = p.plan(q, &ctx, &MatchConfig::default()).ok()?;
-    StandingQuery::new(Arc::new(plan))
-}
 
 /// The unordered vertex-label pair with the most edges.
 fn top_edge_label_pair(g: &Graph) -> Option<(u32, u32)> {
@@ -112,7 +85,11 @@ pub fn run(opts: &HarnessOptions) {
     if let Some((la, lb)) = top_edge_label_pair(&g0) {
         raw.push(sm_graph::builder::graph_from_edges(&[la, lb], &[(0, 1)]));
     }
-    let standing: Vec<StandingQuery> = raw.iter().filter_map(standing_query).collect();
+    let ctx0 = DataContext::new(&g0);
+    let mut standing: Vec<StandingSet> = raw
+        .iter()
+        .filter_map(|q| StandingSet::register(q, &ctx0))
+        .collect();
     assert!(!standing.is_empty(), "no supported standing queries");
     let threads = opts.threads;
     println!(
@@ -133,10 +110,6 @@ pub fn run(opts: &HarnessOptions) {
         },
         opts.seed,
     );
-    let mut maintained: Vec<Vec<Vec<VertexId>>> = standing
-        .iter()
-        .map(|sq| full_matches(sq.plan().query(), &g0))
-        .collect();
 
     let mut t = TextTable::new(vec![
         "step",
@@ -162,24 +135,18 @@ pub fn run(opts: &HarnessOptions) {
 
         // Incremental: enumerate only embeddings using changed edges.
         let t1 = Instant::now();
-        let mut added = 0usize;
-        let mut removed = 0usize;
-        for (sq, acc) in standing.iter().zip(maintained.iter_mut()) {
-            let d = delta_matches(sq, &committed, threads);
-            added += d.added.len();
-            removed += d.removed.len();
-            *acc = d.apply_to(acc);
-        }
+        let (added, removed) = apply_all(&mut standing, &committed, threads);
         let incr_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         // Full recompute on the materialized post graph — and the
         // correctness assertion that makes this a CI smoke.
         let (mat, _) = committed.post.materialize();
         let t2 = Instant::now();
-        for (qi, (sq, acc)) in standing.iter().zip(maintained.iter()).enumerate() {
-            let want = full_matches(sq.plan().query(), &mat);
+        for (qi, set) in standing.iter().enumerate() {
+            let want = full_matches(set.query(), &DataContext::new(&mat));
             assert_eq!(
-                *acc, want,
+                set.matches(),
+                want,
                 "incremental != full recompute (query {qi}, step {step})"
             );
         }

@@ -33,7 +33,7 @@
 use crate::enumerate::control::SharedControl;
 use crate::enumerate::engine::{enumerate, enumerate_with, EngineInput};
 use crate::enumerate::scratch::Scratch;
-use crate::enumerate::{EnumStats, LcMethod, MatchSink, Outcome};
+use crate::enumerate::{EnumStats, MatchSink, Outcome};
 use sm_runtime::pool::{deal_morsels, scoped_map, MorselQueue};
 use sm_runtime::trace::{Counter, CounterBlock, Trace};
 use sm_runtime::{CancelReason, PoolMetrics, WorkerMetrics};
@@ -88,13 +88,7 @@ pub fn enumerate_parallel_with<S: MatchSink + Default + Send>(
     );
     let started = Instant::now();
     let plan = input.plan;
-    let root = plan.root();
-    let c_root = plan.candidates.get(root);
-    // Depth-0 entries per the method's convention.
-    let entries: Vec<u32> = match plan.method {
-        LcMethod::TreeIndex | LcMethod::Intersect => (0..c_root.len() as u32).collect(),
-        _ => c_root.to_vec(),
-    };
+    let entries = plan.depth0_entries();
     let threads = threads.min(entries.len().max(1));
     let trace = plan.config.trace.clone();
     if threads <= 1 {

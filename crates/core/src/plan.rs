@@ -218,6 +218,17 @@ impl QueryPlan {
         self.order[0]
     }
 
+    /// The entries a run iterates at depth 0: candidate *positions* for
+    /// the space-indexed methods (`TreeIndex`, `Intersect`), data vertex
+    /// ids otherwise. Parallel runs partition exactly these.
+    pub fn depth0_entries(&self) -> Vec<u32> {
+        let c_root = self.candidates.get(self.root());
+        match self.method {
+            LcMethod::TreeIndex | LcMethod::Intersect => (0..c_root.len() as u32).collect(),
+            _ => c_root.to_vec(),
+        }
+    }
+
     /// Pivot parents per query vertex.
     #[inline]
     pub fn parents(&self) -> &[VertexId] {

@@ -8,7 +8,7 @@
 //! pinning that query edge to that data edge and completing the partial
 //! embedding outward.
 //!
-//! For each undirected query edge a [`SeedProgram`] fixes the matching
+//! For each undirected query edge a *seed program* fixes the matching
 //! order — the edge's endpoints first, then the remaining query vertices
 //! in BFS order with their backward checks precomputed. Programs are
 //! derived once per [`StandingQuery`] and reused for every batch; the
@@ -38,10 +38,10 @@ use crate::versioned::{Committed, Snapshot};
 use crate::view::GraphView;
 use sm_graph::types::NO_VERTEX;
 use sm_graph::{Graph, NlfIndex, VertexId};
-use sm_match::QueryPlan;
-use sm_runtime::{morsel_size_for, MorselQueue};
+use sm_match::context::MAX_QUERY_VERTICES;
+use sm_runtime::pool::deal_morsels;
+use sm_runtime::MorselQueue;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The per-query-edge matching program of a [`StandingQuery`]: the seed
 /// edge's endpoints, then the remaining query vertices in BFS order with
@@ -101,40 +101,40 @@ impl SeedProgram {
     }
 }
 
-/// A query registered for incremental maintenance: the compiled
-/// [`QueryPlan`] (shared with the static path), the query's NLF rows, and
-/// one [`SeedProgram`] per query edge — all derived once and reused for
-/// every committed batch.
+/// A query registered for incremental maintenance: the query graph, its
+/// NLF rows, and one seed program per query edge — all derived once
+/// and reused for every committed batch.
 pub struct StandingQuery {
-    plan: Arc<QueryPlan>,
+    query: Graph,
     qnlf: NlfIndex,
     programs: Vec<SeedProgram>,
 }
 
 impl StandingQuery {
-    /// Derive the seed programs for `plan`'s query. Returns `None` for
-    /// queries the incremental engine does not support: edgeless or
-    /// disconnected ones (callers fall back to full recomputation).
-    pub fn new(plan: Arc<QueryPlan>) -> Option<StandingQuery> {
-        let q = plan.query();
-        if q.num_edges() == 0 || !q.is_connected() {
+    /// Derive the seed programs for `query`. Returns `None` for queries
+    /// the incremental engine does not support: edgeless or disconnected
+    /// ones, and ones larger than [`MAX_QUERY_VERTICES`].
+    pub fn new(query: &Graph) -> Option<StandingQuery> {
+        if query.num_edges() == 0
+            || query.num_vertices() > MAX_QUERY_VERTICES
+            || !query.is_connected()
+        {
             return None;
         }
-        let qnlf = q.build_nlf();
-        let programs = q
+        let programs = query
             .edges()
-            .map(|(u, v)| SeedProgram::derive(q, u, v))
+            .map(|(u, v)| SeedProgram::derive(query, u, v))
             .collect();
         Some(StandingQuery {
-            plan,
-            qnlf,
+            query: query.clone(),
+            qnlf: query.build_nlf(),
             programs,
         })
     }
 
-    /// The shared compiled plan.
-    pub fn plan(&self) -> &Arc<QueryPlan> {
-        &self.plan
+    /// The query graph.
+    pub fn query(&self) -> &Graph {
+        &self.query
     }
 
     /// Number of seed programs (= query edges).
@@ -297,11 +297,11 @@ fn enumerate_side(
         .collect();
     let run = SeedRun {
         view,
-        q: sq.plan.query(),
+        q: &sq.query,
         qnlf: &sq.qnlf,
         edge_index: &edge_index,
     };
-    let n = sq.plan.query().num_vertices();
+    let n = sq.query.num_vertices();
     let progs = &sq.programs;
     let units = delta_edges.len() * progs.len();
 
@@ -326,18 +326,7 @@ fn enumerate_side(
     } else {
         // Morsel-parallel: chunk the (delta edge × program) grid and let
         // the runtime's work stealing absorb skew across seed subtrees.
-        let threads = threads.min(units);
-        let size = morsel_size_for(units, threads);
-        let mut queues: Vec<Vec<std::ops::Range<usize>>> = vec![Vec::new(); threads];
-        let mut start = 0;
-        let mut k = 0;
-        while start < units {
-            let end = (start + size).min(units);
-            queues[k % threads].push(start..end);
-            start = end;
-            k += 1;
-        }
-        let pool = MorselQueue::new(queues);
+        let pool = MorselQueue::new(deal_morsels(units, threads.min(units)));
         let worker_out = pool.run(
             |_wid| (vec![NO_VERTEX; n], Vec::new()),
             |_wid, (m, out): &mut (Vec<VertexId>, Vec<Vec<VertexId>>), morsel| {
@@ -364,9 +353,8 @@ fn enumerate_side(
 /// standing query, seeding only from the batch's delta edges.
 ///
 /// `threads` controls the morsel-parallel fan-out over (delta edge ×
-/// seed program) units; `1` runs inline. Match caps and time limits of
-/// the plan's config do not apply here — the delta is exact by
-/// construction.
+/// seed program) units; `1` runs inline. There are no match caps or
+/// time limits here — the delta is exact by construction.
 pub fn delta_matches(sq: &StandingQuery, committed: &Committed, threads: usize) -> DeltaMatches {
     DeltaMatches {
         added: enumerate_side(sq, &committed.post, &committed.info.edges_inserted, threads),
@@ -381,19 +369,7 @@ mod tests {
     use crate::versioned::VersionedGraph;
     use sm_graph::builder::graph_from_edges;
     use sm_match::enumerate::CollectSink;
-    use sm_match::{DataContext, MatchConfig, Pipeline};
-    use sm_match::{FilterKind, LcMethod, OrderKind};
-
-    fn plan_for(q: &Graph, g: &Graph) -> Option<Arc<QueryPlan>> {
-        let gc = DataContext::new(g);
-        let p = Pipeline::new(
-            "delta-test",
-            FilterKind::GraphQl,
-            OrderKind::GraphQl,
-            LcMethod::Intersect,
-        );
-        p.plan(q, &gc, &MatchConfig::default()).ok().map(Arc::new)
-    }
+    use sm_match::{DataContext, FilterKind, LcMethod, MatchConfig, OrderKind, Pipeline};
 
     fn full_matches(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
         let gc = DataContext::new(g);
@@ -417,7 +393,7 @@ mod tests {
         let vg = VersionedGraph::new(g0);
         let c = vg.commit(&UpdateBatch::new().add_edge(0, 2));
         let (mat, _) = c.post.materialize();
-        let sq = StandingQuery::new(plan_for(&q, &mat).unwrap()).unwrap();
+        let sq = StandingQuery::new(&q).unwrap();
         let d = delta_matches(&sq, &c, 1);
         assert!(d.removed.is_empty());
         // 6 automorphic images of the one triangle.
@@ -433,7 +409,7 @@ mod tests {
         let vg = VersionedGraph::new(g0.clone());
         let before = full_matches(&q, &g0);
         let c = vg.commit(&UpdateBatch::new().delete_edge(0, 2));
-        let sq = StandingQuery::new(plan_for(&q, &g0).unwrap()).unwrap();
+        let sq = StandingQuery::new(&q).unwrap();
         let d = delta_matches(&sq, &c, 1);
         assert!(d.added.is_empty());
         assert_eq!(d.removed.len(), 6, "only triangle {{0,1,2}} dies");
@@ -456,7 +432,7 @@ mod tests {
                 .add_edge(0, 2),
         );
         let (mat, _) = c.post.materialize();
-        let sq = StandingQuery::new(plan_for(&q, &mat).unwrap()).unwrap();
+        let sq = StandingQuery::new(&q).unwrap();
         let d = delta_matches(&sq, &c, 1);
         assert_eq!(d.added.len(), 6);
         assert_eq!(d.added, full_matches(&q, &mat));
@@ -464,25 +440,16 @@ mod tests {
 
     #[test]
     fn unsupported_queries_are_rejected() {
-        let g = graph_from_edges(&[0, 0], &[(0, 1)]);
         // edgeless query
         let q_e = graph_from_edges(&[0], &[]);
         // disconnected query
         let q_d = graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
-        let gc = DataContext::new(&g);
-        for q in [q_e, q_d] {
-            // Fixed order: the standard orderings reject disconnected
-            // queries before the plan even exists.
-            let order: Vec<VertexId> = (0..q.num_vertices() as VertexId).collect();
-            let p = Pipeline::new(
-                "fixed",
-                FilterKind::Ldf,
-                OrderKind::Fixed(order),
-                LcMethod::Direct,
-            );
-            if let Ok(plan) = p.plan(&q, &gc, &MatchConfig::default()) {
-                assert!(StandingQuery::new(Arc::new(plan)).is_none());
-            }
+        // path one vertex past the enumeration limit
+        let n = MAX_QUERY_VERTICES + 1;
+        let path: Vec<(VertexId, VertexId)> = (1..n as VertexId).map(|v| (v - 1, v)).collect();
+        let q_big = graph_from_edges(&vec![0; n], &path);
+        for q in [q_e, q_d, q_big] {
+            assert!(StandingQuery::new(&q).is_none());
         }
     }
 
@@ -507,7 +474,7 @@ mod tests {
         );
         let (mat, _) = c.post.materialize();
         let want = full_matches(&q, &mat);
-        let sq = StandingQuery::new(plan_for(&q, &g0).unwrap()).unwrap();
+        let sq = StandingQuery::new(&q).unwrap();
         for threads in [1, 4] {
             let d = delta_matches(&sq, &c, threads);
             assert_eq!(d.apply_to(&before), want, "threads={threads}");

@@ -24,9 +24,14 @@
 //!   new edge mapped onto each compatible query edge and enumerates only
 //!   the embeddings that use it (and symmetrically retracts embeddings
 //!   using deleted edges), instead of re-running the full search. The
-//!   compiled [`sm_match::QueryPlan`] is reused across batches and the
-//!   per-batch work is distributed over the runtime's work-stealing
-//!   morsel queues.
+//!   seed programs are derived once from the query graph and reused
+//!   across batches, and the per-batch work is distributed over the
+//!   runtime's work-stealing morsel queues.
+//! * [`StandingSet`] — a standing query plus its maintained embedding
+//!   set: registered by one full enumeration, restored from a stored set,
+//!   and brought up to date by each [`Committed`] batch. Both serving
+//!   tiers (`sm_service::Service` and the sharded router) keep their
+//!   standing queries as these.
 //!
 //! # Semantics
 //!
@@ -45,19 +50,21 @@
 //! Deleting a vertex removes its incident edges and excludes it from the
 //! delta label index; the id itself is never reused (a tombstone), so
 //! vertex ids stay stable across epochs. Incremental enumeration targets
-//! connected queries with at least one edge — the standing-query layer
-//! falls back to full recomputation for edgeless queries.
+//! connected queries with at least one edge; [`StandingQuery::new`]
+//! rejects every other shape.
 
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod incremental;
+pub mod standing;
 pub mod stream;
 pub mod versioned;
 pub mod view;
 
 pub use batch::UpdateBatch;
 pub use incremental::{delta_matches, DeltaMatches, StandingQuery};
+pub use standing::{apply_all, full_matches, StandingSet};
 pub use stream::{UpdateStream, UpdateStreamSpec};
 pub use versioned::{CommitInfo, Committed, Snapshot, VersionedGraph, VersionedStats};
 pub use view::GraphView;

@@ -11,7 +11,6 @@ use sm_graph::{Graph, VertexId};
 use sm_match::enumerate::CollectSink;
 use sm_match::{DataContext, FilterKind, LcMethod, MatchConfig, OrderKind, Pipeline};
 use sm_runtime::Rng64;
-use std::sync::Arc;
 
 fn full_matches(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
     let gc = DataContext::new(g);
@@ -24,21 +23,8 @@ fn full_matches(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
     m
 }
 
-fn standing(q: &Graph, _g: &Graph) -> StandingQuery {
-    // The incremental engine only uses the plan's query graph; plan
-    // against the query itself (always satisfiable) so standing queries
-    // can be registered even when the initial graph has zero matches.
-    let gc = DataContext::new(q);
-    let p = Pipeline::new(
-        "plan",
-        FilterKind::GraphQl,
-        OrderKind::GraphQl,
-        LcMethod::Intersect,
-    );
-    let plan = p
-        .plan(q, &gc, &MatchConfig::default())
-        .expect("query matches itself");
-    StandingQuery::new(Arc::new(plan)).expect("connected query with edges")
+fn standing(q: &Graph) -> StandingQuery {
+    StandingQuery::new(q).expect("connected query with edges")
 }
 
 /// Drive `batches` through a [`VersionedGraph`] and assert, after every
@@ -46,7 +32,7 @@ fn standing(q: &Graph, _g: &Graph) -> StandingQuery {
 /// on the materialized post graph — for every thread count given.
 fn assert_equivalence(g0: Graph, queries: &[Graph], batches: Vec<UpdateBatch>, threads: &[usize]) {
     let vg = VersionedGraph::new(g0.clone());
-    let standing: Vec<StandingQuery> = queries.iter().map(|q| standing(q, &g0)).collect();
+    let standing: Vec<StandingQuery> = queries.iter().map(standing).collect();
     let mut maintained: Vec<Vec<Vec<VertexId>>> =
         queries.iter().map(|q| full_matches(q, &g0)).collect();
     for (step, batch) in batches.into_iter().enumerate() {
@@ -58,7 +44,7 @@ fn assert_equivalence(g0: Graph, queries: &[Graph], batches: Vec<UpdateBatch>, t
             assert_eq!(mat_nlf.entry(v), fresh_nlf.entry(v), "nlf v{v} step {step}");
         }
         for (qi, (sq, acc)) in standing.iter().zip(maintained.iter_mut()).enumerate() {
-            let want = full_matches(sq.plan().query(), &mat);
+            let want = full_matches(sq.query(), &mat);
             let base = delta_matches(sq, &c, 1);
             for &t in threads {
                 let d = delta_matches(sq, &c, t);
@@ -212,7 +198,7 @@ fn mixed_stream_survives_compaction() {
     let g0 = rmat_graph(100, 5.0, 3, RmatParams::PAPER, 37);
     let vg = VersionedGraph::with_threshold(g0.clone(), 2);
     let mut rng = Rng64::seed_from_u64(404);
-    let standing: Vec<StandingQuery> = test_queries().iter().map(|q| standing(q, &g0)).collect();
+    let standing: Vec<StandingQuery> = test_queries().iter().map(standing).collect();
     let mut maintained: Vec<Vec<Vec<VertexId>>> = test_queries()
         .iter()
         .map(|q| full_matches(q, &g0))
@@ -233,7 +219,7 @@ fn mixed_stream_survives_compaction() {
         for (sq, acc) in standing.iter().zip(maintained.iter_mut()) {
             let d = delta_matches(sq, &c, 2);
             *acc = d.apply_to(acc);
-            assert_eq!(*acc, full_matches(sq.plan().query(), &mat), "step {step}");
+            assert_eq!(*acc, full_matches(sq.query(), &mat), "step {step}");
         }
     }
     assert!(vg.stats().compactions > 0, "threshold 2 must compact");

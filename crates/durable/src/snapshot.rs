@@ -40,6 +40,7 @@
 use crate::codec::{
     crc32, crc32_combine, crc32_parallel, decode_graph, encode_graph, CodecError, Dec, Enc,
 };
+use sm_delta::StandingSet;
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::{Graph, Label, NlfIndex, VertexId};
 use std::fmt;
@@ -54,14 +55,22 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 const HEADER_BYTES: usize = 64;
 
 /// A standing query as persisted: the query graph plus its embedding set
-/// at snapshot time (sorted rows). Sharded snapshots persist the query
-/// with an empty set and re-enumerate per shard on recovery.
+/// at snapshot time (sorted rows), which recovery installs as-is.
 #[derive(Clone, Debug)]
 pub struct StandingSnapshot {
     /// The registered query graph.
     pub query: Graph,
     /// The embedding set at snapshot time, one row per match.
     pub matches: Vec<Vec<VertexId>>,
+}
+
+impl From<&StandingSet> for StandingSnapshot {
+    fn from(set: &StandingSet) -> Self {
+        StandingSnapshot {
+            query: set.query().clone(),
+            matches: set.matches().to_vec(),
+        }
+    }
 }
 
 /// Everything a snapshot file stores.

@@ -19,8 +19,7 @@
 //! lands on the last fully-committed epoch.
 
 use crate::service::{patch_pairs, GraphData, Service, ServiceConfig};
-use crate::update::StandingEntry;
-use sm_delta::{delta_matches, Committed, UpdateBatch, VersionedGraph};
+use sm_delta::{Committed, StandingSet, UpdateBatch, VersionedGraph};
 use sm_durable::{DurableStore, SnapshotData, StandingSnapshot, WalRecord};
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::Graph;
@@ -69,9 +68,16 @@ impl Service {
         );
         let versioned = VersionedGraph::from_materialized(snap.graph, snap.nlf);
         let svc = Service::boot(data, versioned, cfg);
-        for s in snap.standing {
-            svc.restore_standing(&s.query, s.matches)
-                .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
+        {
+            let mut standing = svc.core.standing.lock().expect("standing poisoned");
+            for s in snap.standing {
+                standing.push(StandingSet::restore(&s.query, s.matches).ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "snapshot standing query is not supported",
+                    )
+                })?);
+            }
         }
         let mut replayed = 0u64;
         // Label-pair counts are carried across the whole tail and only
@@ -113,7 +119,7 @@ impl Service {
                     svc.register_standing_impl(&query, false).ok_or_else(|| {
                         io::Error::new(
                             io::ErrorKind::InvalidData,
-                            "logged standing query no longer compiles",
+                            "logged standing query is not supported",
                         )
                     })?;
                 }
@@ -224,13 +230,7 @@ impl Service {
             graph: data.graph.clone(),
             nlf: data.nlf.clone(),
             label_pairs: data.label_pairs.clone(),
-            standing: standing
-                .iter()
-                .map(|e| StandingSnapshot {
-                    query: e.sq.plan().query().clone(),
-                    matches: e.matches.clone(),
-                })
-                .collect(),
+            standing: standing.iter().map(StandingSnapshot::from).collect(),
         }
     }
 
@@ -252,24 +252,7 @@ impl Service {
         }
         let new_epoch = old_epoch + 1;
         core.epoch.store(new_epoch, Ordering::Relaxed);
-        let mut added = 0u64;
-        let mut removed = 0u64;
-        {
-            let mut standing = core.standing.lock().expect("standing poisoned");
-            for entry in standing.iter_mut() {
-                let d = delta_matches(&entry.sq, &committed, core.cfg.workers);
-                added += d.added.len() as u64;
-                removed += d.removed.len() as u64;
-                entry.matches = d.apply_to(&entry.matches);
-            }
-        }
-        core.counters.updates.fetch_add(1, Ordering::Relaxed);
-        core.metrics.observe_update();
-        if added + removed > 0 {
-            core.counters
-                .incremental
-                .fetch_add(added + removed, Ordering::Relaxed);
-        }
+        self.maintain_standing(&committed);
         (false, new_epoch, Some(committed))
     }
 
@@ -287,20 +270,5 @@ impl Service {
         let epoch = core.epoch.load(Ordering::Relaxed);
         let data = GraphData::from_parts_with_pairs(graph, nlf, pairs, epoch);
         *core.graph.lock().expect("graph lock poisoned") = data;
-    }
-
-    /// Reinstate a standing query from a snapshot: the stored embedding
-    /// set is installed as-is instead of being re-enumerated — it was
-    /// maintained against exactly the graph the snapshot stores.
-    fn restore_standing(
-        &self,
-        query: &Graph,
-        matches: Vec<Vec<sm_graph::VertexId>>,
-    ) -> Result<(), &'static str> {
-        let sq = crate::update::standing_query(query)
-            .ok_or("snapshot standing query no longer compiles")?;
-        let mut standing = self.core.standing.lock().expect("standing poisoned");
-        standing.push(StandingEntry { sq, matches });
-        Ok(())
     }
 }

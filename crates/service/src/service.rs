@@ -39,15 +39,14 @@
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
 use crate::metrics::{MetricsConfig, MetricsReport, ServiceMetrics, SlowQuery};
 use crate::stream::{QueryReport, ResultStream, ServiceOutcome, StreamCore};
-use crate::update::StandingEntry;
-use sm_delta::VersionedGraph;
+use sm_delta::{StandingSet, VersionedGraph};
 use sm_graph::canon::canonical_form;
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::{Graph, NlfIndex, VertexId};
 use sm_match::enumerate::control::SharedControl;
 use sm_match::enumerate::engine::{enumerate_with, EngineInput};
 use sm_match::enumerate::{
-    LcMethod, MatchConfig, MatchSemantics, MatchSink, Outcome, OutputMode, Termination,
+    MatchConfig, MatchSemantics, MatchSink, Outcome, OutputMode, Termination,
 };
 use sm_match::{DataContext, Executor, Pipeline, PlanSelection, QueryPlan, Scratch};
 use sm_runtime::pool::morsel_size_for;
@@ -105,6 +104,11 @@ impl GraphData {
             label_pairs,
             epoch,
         })
+    }
+
+    /// A matching context over this graph, reusing its indices.
+    pub(crate) fn context(&self) -> DataContext<'_> {
+        DataContext::from_parts(&self.graph, self.nlf.clone(), self.label_pairs.clone())
     }
 
     /// The previous epoch's label-pair counts patched by one commit's
@@ -345,8 +349,8 @@ struct QueryRun {
     /// adaptive-capture key.
     canon_hash: u64,
     /// The planner-chosen combo this run executes (`None` under fixed
-    /// plan selection or when a tail-capture recompiled the plan) — the
-    /// feedback key finalize records observations under.
+    /// plan selection) — the feedback key finalize records observations
+    /// under.
     combo: Option<sm_planner::PlanCombo>,
     /// Nanoseconds from admission to activation (0 until activated) —
     /// the queue-wait phase boundary the metrics layer records.
@@ -419,7 +423,7 @@ pub(crate) struct ServiceCore {
     pub(crate) versioned: Mutex<VersionedGraph>,
     /// Registered standing queries with their incrementally maintained
     /// embedding sets.
-    pub(crate) standing: Mutex<Vec<StandingEntry>>,
+    pub(crate) standing: Mutex<Vec<StandingSet>>,
     /// Durable store when the service was created via
     /// [`Service::new_durable`] / [`Service::open`]; `None` for purely
     /// in-memory services. Always the innermost lock.
@@ -564,9 +568,10 @@ impl Service {
         *vg = VersionedGraph::new(graph);
         self.core.cache.purge_other_epochs(epoch);
         {
+            let ctx = data.context();
             let mut standing = self.core.standing.lock().expect("standing poisoned");
-            for entry in standing.iter_mut() {
-                entry.reenumerate(&data);
+            for set in standing.iter_mut() {
+                set.reenumerate(&ctx);
             }
         }
         // A durable service absorbs the swap into a fresh snapshot: the
@@ -788,19 +793,17 @@ impl ServiceCore {
             None
         };
         let mut plan = cached.plan.clone();
-        let mut combo = cached.combo;
         // Adaptive tail capture: a prior occurrence of this canonical
         // form crossed the slow threshold, so this one runs under a full
-        // sm-trace profile. The traced plan is compiled fresh against the
-        // client's own query (no remap needed) and never cached.
+        // sm-trace profile. The traced plan is compiled fresh — with the
+        // cached entry's combo, so it is the plan the planner served —
+        // against the client's own query (no remap needed) and never
+        // cached.
         let capture = if self.metrics.take_armed(canon_hash) {
-            match self.compile_traced(&req.query, &graph, engine_semantics) {
+            match self.compile_traced(&req.query, &graph, engine_semantics, cached.combo) {
                 Some((traced_plan, trace)) => {
                     plan = Some(traced_plan);
                     remap = None;
-                    // The traced plan is the fixed pipeline, not the
-                    // planner's combo — don't misattribute its counters.
-                    combo = None;
                     Some(trace)
                 }
                 None => None,
@@ -837,7 +840,7 @@ impl ServiceCore {
         let (entries, adaptive) = match &plan {
             None => (Vec::new(), false),
             Some(p) if p.adaptive => (Vec::new(), true),
-            Some(p) => (depth0_entries(p), false),
+            Some(p) => (p.depth0_entries(), false),
         };
         let run = Arc::new(QueryRun {
             plan,
@@ -861,7 +864,7 @@ impl ServiceCore {
             plan_build_ns,
             started,
             canon_hash,
-            combo,
+            combo: cached.combo,
             activated_ns: AtomicU64::new(0),
             capture,
         });
@@ -933,21 +936,8 @@ impl ServiceCore {
         if let Some(hit) = self.cache.lookup(&key, &form.code) {
             return (hit, true, canon_hash);
         }
-        let ctx =
-            DataContext::from_parts(&graph.graph, graph.nlf.clone(), graph.label_pairs.clone());
-        // Cached plans carry a canonical compile config: per-run budget
-        // fields are neutralized so one plan serves every request budget
-        // (applied via SharedControl at execution time). The semantics'
-        // injectivity and output mode *are* compile-relevant — the
-        // pipeline drops iso-only optimizations for relaxed injectivity.
-        let mut compile_cfg = self.cfg.base_config.clone();
-        compile_cfg.semantics = semantics;
-        compile_cfg.max_matches = None;
-        compile_cfg.time_limit = None;
-        compile_cfg.cancel = None;
-        compile_cfg.trace = Trace::disabled();
-        compile_cfg.plan = PlanSelection::Fixed;
-        compile_cfg.bailout = None;
+        let ctx = graph.context();
+        let compile_cfg = self.compile_config(semantics, Trace::disabled());
         let (plan, combo) = match &self.planner {
             // Auto mode: rank the combo space against the current graph's
             // statistics (plus any feedback already recorded for this
@@ -956,9 +946,7 @@ impl ServiceCore {
             // next compilation of this form.
             Some(planner) => match planner.choose(query, &ctx, &compile_cfg, canon_hash) {
                 Some(score) => {
-                    let mut auto_cfg = compile_cfg.clone();
-                    auto_cfg.intersect = score.combo.kernel;
-                    let plan = score.combo.pipeline().plan(query, &ctx, &auto_cfg).ok();
+                    let plan = self.compile(query, &ctx, compile_cfg, Some(score.combo));
                     // The compile's measured filter and build times teach
                     // the model what preprocessing really costs.
                     if let Some(plan) = &plan {
@@ -971,11 +959,7 @@ impl ServiceCore {
                 None => (None, None),
             },
             None => (
-                self.cfg
-                    .pipeline
-                    .plan(query, &ctx, &compile_cfg)
-                    .ok()
-                    .map(Arc::new),
+                self.compile(query, &ctx, compile_cfg, None).map(Arc::new),
                 None,
             ),
         };
@@ -984,29 +968,58 @@ impl ServiceCore {
         (entry, false, canon_hash)
     }
 
+    /// The canonical compile config for `semantics`: per-run budget
+    /// fields are neutralized so one plan serves every request budget
+    /// (applied via SharedControl at execution time). The semantics'
+    /// injectivity and output mode *are* compile-relevant — the pipeline
+    /// drops iso-only optimizations for relaxed injectivity.
+    fn compile_config(&self, semantics: MatchSemantics, trace: Trace) -> MatchConfig {
+        let mut cfg = self.cfg.base_config.clone();
+        cfg.semantics = semantics;
+        cfg.max_matches = None;
+        cfg.time_limit = None;
+        cfg.cancel = None;
+        cfg.trace = trace;
+        cfg.plan = PlanSelection::Fixed;
+        cfg.bailout = None;
+        cfg
+    }
+
+    /// Compile `query` with the planner's `combo` (its pipeline and
+    /// intersection kernel) when given, else with the fixed
+    /// `cfg.pipeline`. `None` when the query is unsatisfiable.
+    fn compile(
+        &self,
+        query: &Graph,
+        ctx: &DataContext<'_>,
+        mut cfg: MatchConfig,
+        combo: Option<sm_planner::PlanCombo>,
+    ) -> Option<QueryPlan> {
+        match combo {
+            Some(combo) => {
+                cfg.intersect = combo.kernel;
+                combo.pipeline().plan(query, ctx, &cfg).ok()
+            }
+            None => self.cfg.pipeline.plan(query, ctx, &cfg).ok(),
+        }
+    }
+
     /// Compile `query` with a live trace attached — the adaptive
     /// tail-capture path. Cached plans deliberately carry a disabled
     /// trace (one plan serves every request), so a profiled occurrence
-    /// needs its own compilation; the result is used once and never
-    /// cached. Returns `None` when the query is unsatisfiable.
+    /// needs its own compilation of the cached entry's `combo`; the
+    /// result is used once and never cached. Returns `None` when the
+    /// query is unsatisfiable.
     fn compile_traced(
         &self,
         query: &Graph,
         graph: &Arc<GraphData>,
         semantics: MatchSemantics,
+        combo: Option<sm_planner::PlanCombo>,
     ) -> Option<(Arc<QueryPlan>, Trace)> {
-        let ctx =
-            DataContext::from_parts(&graph.graph, graph.nlf.clone(), graph.label_pairs.clone());
         let trace = Trace::enabled();
-        let mut compile_cfg = self.cfg.base_config.clone();
-        compile_cfg.semantics = semantics;
-        compile_cfg.max_matches = None;
-        compile_cfg.time_limit = None;
-        compile_cfg.cancel = None;
-        compile_cfg.trace = trace.clone();
-        compile_cfg.plan = PlanSelection::Fixed;
-        compile_cfg.bailout = None;
-        let plan = self.cfg.pipeline.plan(query, &ctx, &compile_cfg).ok()?;
+        let cfg = self.compile_config(semantics, trace.clone());
+        let plan = self.compile(query, &graph.context(), cfg, combo)?;
         Some((Arc::new(plan), trace))
     }
 
@@ -1226,17 +1239,6 @@ fn plan_choice(plan: &Option<Arc<QueryPlan>>) -> String {
         None => "unsatisfiable".to_string(),
         Some(p) if p.adaptive => format!("{:?} (adaptive)", p.method),
         Some(p) => format!("{:?}", p.method),
-    }
-}
-
-/// Depth-0 entries in the static engine's convention (see
-/// `enumerate::parallel`): candidate *positions* for the space-indexed
-/// methods, data vertex ids otherwise.
-fn depth0_entries(plan: &QueryPlan) -> Vec<u32> {
-    let c_root = plan.candidates.get(plan.root());
-    match plan.method {
-        LcMethod::TreeIndex | LcMethod::Intersect => (0..c_root.len() as u32).collect(),
-        _ => c_root.to_vec(),
     }
 }
 

@@ -9,20 +9,16 @@
 //! new epoch ([`crate::cache::PlanCache::retarget_epoch`]).
 //!
 //! **Standing queries** registered with [`Service::register_standing`]
-//! keep their full embedding set current across updates by delta-driven
-//! incremental enumeration ([`sm_delta::delta_matches`]): only
+//! are [`sm_delta::StandingSet`]s: each keeps its full embedding set
+//! current across updates by delta-driven incremental enumeration — only
 //! embeddings that use an inserted or deleted edge are enumerated, never
 //! the whole graph.
 
 use crate::service::{GraphData, Service};
-use sm_delta::{delta_matches, Snapshot, StandingQuery, UpdateBatch};
+use sm_delta::{apply_all, Committed, Snapshot, StandingSet, UpdateBatch};
 use sm_graph::{Graph, VertexId};
-use sm_match::enumerate::CollectSink;
-use sm_match::{
-    DataContext, FilterKind, LcMethod, MatchConfig, MatchSemantics, OrderKind, Pipeline,
-};
+use sm_match::MatchSemantics;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Handle to a standing query registered with
@@ -75,57 +71,6 @@ pub struct UpdateReport {
     pub elapsed: Duration,
 }
 
-/// One registered standing query: the seed programs plus the maintained
-/// embedding set.
-pub(crate) struct StandingEntry {
-    pub(crate) sq: StandingQuery,
-    pub(crate) matches: Vec<Vec<VertexId>>,
-}
-
-impl StandingEntry {
-    /// Recompute the embedding set from scratch (graph swap).
-    pub(crate) fn reenumerate(&mut self, data: &GraphData) {
-        self.matches = enumerate_full(data, self.sq.plan().query());
-    }
-}
-
-/// Full (from-scratch) sorted embedding set of `q` on `data`, in query
-/// vertex-id order — the representation `DeltaMatches::apply_to`
-/// maintains.
-fn enumerate_full(data: &GraphData, q: &Graph) -> Vec<Vec<VertexId>> {
-    let ctx = DataContext::from_parts(&data.graph, data.nlf.clone(), data.label_pairs.clone());
-    let p = Pipeline::new(
-        "standing-full",
-        FilterKind::Ldf,
-        OrderKind::Ri,
-        LcMethod::Direct,
-    );
-    let mut sink = CollectSink::default();
-    // find_all: the maintained set must be complete — the default match
-    // cap would silently truncate the baseline on large graphs.
-    p.run_with_sink(q, &ctx, &MatchConfig::find_all(), &mut sink);
-    let mut m = sink.matches;
-    m.sort_unstable();
-    m
-}
-
-/// Compile a [`StandingQuery`] for `q`. The plan is built against the
-/// query graph *itself* as data graph: a query always matches itself, so
-/// compilation cannot fail for satisfiability reasons, and the
-/// incremental engine only reads the plan's query graph anyway.
-pub(crate) fn standing_query(q: &Graph) -> Option<StandingQuery> {
-    let ctx = DataContext::new(q);
-    let order: Vec<VertexId> = (0..q.num_vertices() as VertexId).collect();
-    let p = Pipeline::new(
-        "standing",
-        FilterKind::Ldf,
-        OrderKind::Fixed(order),
-        LcMethod::Direct,
-    );
-    let plan = p.plan(q, &ctx, &MatchConfig::default()).ok()?;
-    StandingQuery::new(Arc::new(plan))
-}
-
 impl Service {
     /// Apply an update batch **in place**: commit it to the versioned
     /// graph, install the materialized post-state as the service's data
@@ -139,21 +84,13 @@ impl Service {
     /// Updates serialize against each other and against
     /// [`Service::swap_graph`]; queries submitted concurrently run
     /// against whichever graph version they were admitted under.
-    pub fn apply_update(&self, batch: &UpdateBatch) -> UpdateReport {
-        self.apply_update_inner(batch, true)
-    }
-
-    /// [`Service::apply_update`] body with an explicit durability switch.
     ///
-    /// `log == true` is the live path: the batch is committed and — if it
-    /// was effective — appended to the WAL (when the service is durable)
-    /// *before* the post graph is installed, so no client can observe
-    /// state that recovery cannot reproduce. `log == false` is the
-    /// recovery replay path: WAL records must not be re-appended while
-    /// they are being replayed. Both routes funnel through
-    /// [`sm_durable::commit_batch`], the single commit point the log
-    /// cannot be bypassed around.
-    pub(crate) fn apply_update_inner(&self, batch: &UpdateBatch, log: bool) -> UpdateReport {
+    /// The batch is committed — and, if it was effective, appended to
+    /// the WAL when the service is durable — through
+    /// [`sm_durable::commit_batch`] *before* the post graph is
+    /// installed, so no client can observe state that recovery cannot
+    /// reproduce.
+    pub fn apply_update(&self, batch: &UpdateBatch) -> UpdateReport {
         let started = Instant::now();
         let core = &self.core;
         let vg = core.versioned.lock().expect("versioned poisoned");
@@ -164,12 +101,7 @@ impl Service {
             let mut durable = core.durable.lock().expect("durable poisoned");
             sm_durable::durable_io(
                 "WAL batch append",
-                sm_durable::commit_batch(
-                    &vg,
-                    if log { durable.as_mut() } else { None },
-                    old_epoch + 1,
-                    batch,
-                ),
+                sm_durable::commit_batch(&vg, durable.as_mut(), old_epoch + 1, batch),
             )
         };
         let info = &committed.info;
@@ -203,32 +135,11 @@ impl Service {
         let (plans_retained, plans_evicted) =
             core.cache
                 .retarget_epoch(old_epoch, new_epoch, &info.affected_labels);
-        // Maintain standing queries from the delta alone.
-        let mut added = 0u64;
-        let mut removed = 0u64;
-        {
-            let mut standing = core.standing.lock().expect("standing poisoned");
-            for entry in standing.iter_mut() {
-                let d = delta_matches(&entry.sq, &committed, core.cfg.workers);
-                added += d.added.len() as u64;
-                removed += d.removed.len() as u64;
-                entry.matches = d.apply_to(&entry.matches);
-            }
-        }
-        core.counters.updates.fetch_add(1, Ordering::Relaxed);
-        core.metrics.observe_update();
-        if added + removed > 0 {
-            core.counters
-                .incremental
-                .fetch_add(added + removed, Ordering::Relaxed);
-        }
+        let (added, removed) = self.maintain_standing(&committed);
         // Compact the log into a fresh snapshot once enough WAL bytes
         // accumulated (still under the versioned lock, so the snapshot
-        // sees exactly this epoch). Replay never triggers this: the
-        // store is not installed until recovery finishes.
-        if log {
-            self.maybe_threshold_snapshot();
-        }
+        // sees exactly this epoch).
+        self.maybe_threshold_snapshot();
         UpdateReport {
             epoch: new_epoch,
             noop: false,
@@ -242,6 +153,24 @@ impl Service {
             incremental_removed: removed,
             elapsed: started.elapsed(),
         }
+    }
+
+    /// Bring every standing set up to date with one effective commit and
+    /// count the update — the one maintenance step the live update path
+    /// and WAL replay share. Returns the `(added, removed)` embedding
+    /// totals.
+    pub(crate) fn maintain_standing(&self, committed: &Committed) -> (u64, u64) {
+        let core = &self.core;
+        let (added, removed) = {
+            let mut standing = core.standing.lock().expect("standing poisoned");
+            apply_all(&mut standing, committed, core.cfg.workers)
+        };
+        core.counters.updates.fetch_add(1, Ordering::Relaxed);
+        core.metrics.observe_update();
+        core.counters
+            .incremental
+            .fetch_add(added + removed, Ordering::Relaxed);
+        (added, removed)
     }
 
     /// Pin a consistent snapshot of the current graph version. The
@@ -269,11 +198,10 @@ impl Service {
     /// recovery replay path must not re-append the record it is
     /// replaying.
     pub(crate) fn register_standing_impl(&self, query: &Graph, log: bool) -> Option<StandingId> {
-        let sq = standing_query(query)?;
         let data = self.core.graph.lock().expect("graph lock poisoned").clone();
-        let matches = enumerate_full(&data, sq.plan().query());
+        let set = StandingSet::register(query, &data.context())?;
         let mut standing = self.core.standing.lock().expect("standing poisoned");
-        standing.push(StandingEntry { sq, matches });
+        standing.push(set);
         let index = standing.len() - 1;
         // The WAL append happens while the standing lock is still held
         // (lock order graph → standing → durable keeps `durable`
@@ -316,14 +244,14 @@ impl Service {
     /// vertex-id order).
     pub fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
         self.core.standing.lock().expect("standing poisoned")[id.0]
-            .matches
-            .clone()
+            .matches()
+            .to_vec()
     }
 
     /// Current embedding count of a standing query.
     pub fn standing_count(&self, id: StandingId) -> usize {
         self.core.standing.lock().expect("standing poisoned")[id.0]
-            .matches
+            .matches()
             .len()
     }
 }

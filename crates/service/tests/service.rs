@@ -303,7 +303,7 @@ fn streamed_embeddings_are_valid_and_remapped() {
     let check = |query: &Graph, expect_hit: bool| {
         let mut stream = svc.submit(QueryRequest::streaming(query.clone()));
         let mut n = 0u64;
-        while let Some(m) = stream.next() {
+        for m in stream.by_ref() {
             assert_eq!(m.len(), query.num_vertices());
             for u in 0..query.num_vertices() as VertexId {
                 assert_eq!(
@@ -399,4 +399,43 @@ fn auto_service_learns_preprocessing_costs_from_its_compiles() {
     let model = svc.planner().expect("Auto service").model();
     assert!(model.filter_ns.iter().any(Option::is_some));
     assert_ne!(model.build_ns, sm_planner::ModelParams::default().build_ns);
+}
+
+#[test]
+fn auto_tail_capture_runs_the_served_combo_and_keeps_its_feedback() {
+    // A zero slow threshold arms a tail capture after the first run, so
+    // the second occurrence is recompiled with a trace attached. It must
+    // compile the combo the planner served and feed its run back like
+    // any other Auto run.
+    let g = random_graph(2_000, 3, 8_000, 0xA070);
+    let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2), (0, 2)]);
+    let expected = sequential_count(&q, &g, &ServiceConfig::default().pipeline, None);
+    let svc = Service::new(
+        g,
+        ServiceConfig {
+            base_config: MatchConfig {
+                plan: sm_match::PlanSelection::Auto,
+                ..MatchConfig::default()
+            },
+            metrics: sm_service::MetricsConfig {
+                slow_threshold: Some(Duration::ZERO),
+                ..sm_service::MetricsConfig::default()
+            },
+            ..ServiceConfig::default()
+        },
+    );
+    for _ in 0..2 {
+        let report = svc.run_count(q.clone());
+        assert_eq!(report.outcome, ServiceOutcome::Complete);
+        assert_eq!(report.matches, expected);
+    }
+    assert!(
+        svc.metrics_report()
+            .slow
+            .iter()
+            .any(|s| s.profile.is_some()),
+        "the second run was captured"
+    );
+    let planner = svc.planner().expect("Auto service");
+    assert_eq!(planner.counters().feedback_records, 2);
 }

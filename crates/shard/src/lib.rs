@@ -19,8 +19,8 @@
 //!   deadlines and backpressure behave as on a single service.
 //! - **Epoch-consistent updates** — one global versioned commit routes
 //!   per-shard delta batches under a write lock, so a concurrent query
-//!   never observes a torn (mixed-epoch) scatter; standing queries stay
-//!   exactly-once correct across cross-shard insertions and deletions.
+//!   never observes a torn (mixed-epoch) scatter; standing queries are
+//!   kept once at the router, maintained from that global commit.
 //! - **Durability** — [`ShardedService::new_durable`] /
 //!   [`ShardedService::open`] hang an `sm-durable` WAL + snapshot store
 //!   off the router's single global commit point: one WAL record per

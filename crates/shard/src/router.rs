@@ -44,15 +44,27 @@
 //! pre-update or all shards post-update, never a torn mix; queries
 //! already in flight keep their admission-time graph via `Arc`, exactly
 //! like a single service.
+//!
+//! # Standing queries
+//!
+//! Standing queries live at the router, not on the shards: each is one
+//! [`StandingSet`] over the global graph, enumerated once on the global
+//! head at registration and maintained from the
+//! [`sm_delta::Committed`] batch the router's global commit produces —
+//! the single implementation a [`Service`] uses too. Every embedding is
+//! therefore maintained (and counted) once, whatever the halo
+//! replication, and a standing query needs no halo-diameter bound. A
+//! durable tier snapshots the sets and [`ShardedService::open`]
+//! reinstates them without re-enumerating.
 
 use crate::partition::{hash_owner, skew_pct, Partition, PartitionStrategy};
-use sm_delta::{GraphView, Snapshot, UpdateBatch, VersionedGraph};
+use sm_delta::{apply_all, GraphView, Snapshot, StandingSet, UpdateBatch, VersionedGraph};
 use sm_durable::{
     DurabilityOptions, DurableStore, RecoveryReport, SnapshotData, StandingSnapshot, WalRecord,
 };
 use sm_graph::traversal::{diameter, khop_ball};
 use sm_graph::{Graph, Label, VertexId};
-use sm_match::{MatchSemantics, OutputMode, Termination};
+use sm_match::{DataContext, MatchSemantics, OutputMode, Termination};
 use sm_runtime::metrics::prom;
 use sm_runtime::trace::{Counter, CounterBlock};
 use sm_runtime::CancelToken;
@@ -127,10 +139,10 @@ pub struct ShardedUpdateReport {
     pub plans_retained: usize,
     /// Cached plans evicted, summed over shards.
     pub plans_evicted: usize,
-    /// Standing-query embeddings added incrementally, summed over
-    /// shards (halo replicas included — this counts per-shard work).
+    /// Standing-query embeddings added incrementally (global — each
+    /// embedding once, as a single [`Service`] reports it).
     pub incremental_added: u64,
-    /// Standing-query embeddings retracted, summed over shards.
+    /// Standing-query embeddings retracted (global).
     pub incremental_removed: u64,
     /// Shards whose local state actually changed.
     pub shards_touched: usize,
@@ -223,11 +235,9 @@ struct RouterState {
     halo: u64,
     /// Local-edge skew across shards in percent (gauge).
     skew: u64,
-    /// Per-router-standing-id: the per-shard service standing ids.
-    standing: Vec<Vec<sm_service::StandingId>>,
-    /// The registered standing queries themselves (index-aligned with
-    /// `standing`) — what a durable snapshot persists.
-    standing_queries: Vec<Graph>,
+    /// Standing queries with their global embedding sets, indexed by
+    /// [`ShardStandingId`] and maintained from the global commit.
+    standing: Vec<StandingSet>,
     /// Durable store when the tier was created via
     /// [`ShardedService::new_durable`] / [`ShardedService::open`]. The
     /// router's single global commit point means per-shard services stay
@@ -236,10 +246,12 @@ struct RouterState {
     durable: Option<DurableStore>,
     /// Report of the recovery that produced this tier, if any.
     recovery: Option<RecoveryReport>,
-    /// Recoveries performed (0 or 1) and WAL batches replayed — router
-    /// counter state, mutated under the write lock.
+    /// Recoveries performed (0 or 1), WAL batches replayed and standing
+    /// embeddings added or retracted — router counter state, mutated
+    /// under the write lock.
     recoveries: u64,
     replayed: u64,
+    incremental: u64,
 }
 
 /// A partitioned, scatter-gather sharded query service with the same
@@ -317,11 +329,11 @@ impl ShardedService {
                 halo,
                 skew,
                 standing: Vec::new(),
-                standing_queries: Vec::new(),
                 durable: None,
                 recovery: None,
                 recoveries: 0,
                 replayed: 0,
+                incremental: 0,
             }),
             cfg,
             shards,
@@ -356,9 +368,9 @@ impl ShardedService {
 
     /// Recover a durable sharded tier from `dir`: page in the newest
     /// valid snapshot of the global graph, repartition it across
-    /// `cfg.shards`, re-register the snapshot's standing queries, replay
-    /// the WAL tail through the normal cross-shard update path, and
-    /// resume the router epoch. The shard layout need not match the
+    /// `cfg.shards`, reinstate the snapshot's standing sets as stored,
+    /// replay the WAL tail through the normal cross-shard update path,
+    /// and resume the router epoch. The shard layout need not match the
     /// crashed tier's — ownership attribution affects which shard
     /// reports an embedding, never the merged result.
     pub fn open(dir: &Path, cfg: ShardConfig, opts: DurabilityOptions) -> io::Result<Self> {
@@ -372,16 +384,19 @@ impl ShardedService {
                 let _ = fb.merge_bytes(&bytes);
             }
         }
-        svc.state.write().expect("state poisoned").epoch = snap.epoch;
         let unsupported = || {
             io::Error::new(
                 io::ErrorKind::InvalidData,
-                "persisted standing query is not supported by this shard configuration",
+                "persisted standing query is not supported",
             )
         };
-        for s in &snap.standing {
-            svc.register_standing_impl(&s.query, false)
-                .ok_or_else(unsupported)?;
+        {
+            let mut state = svc.state.write().expect("state poisoned");
+            state.epoch = snap.epoch;
+            for s in snap.standing {
+                let set = StandingSet::restore(&s.query, s.matches).ok_or_else(unsupported)?;
+                state.standing.push(set);
+            }
         }
         let mut replayed = 0u64;
         for rec in tail {
@@ -750,8 +765,6 @@ impl ShardedService {
         }
         let mut plans_retained = 0;
         let mut plans_evicted = 0;
-        let mut incremental_added = 0;
-        let mut incremental_removed = 0;
         let mut shards_touched = 0;
         let mut halo = 0u64;
         let mut edge_loads = vec![0u64; shards];
@@ -819,8 +832,6 @@ impl ShardedService {
             }
             plans_retained += rep.plans_retained;
             plans_evicted += rep.plans_evicted;
-            incremental_added += rep.incremental_added;
-            incremental_removed += rep.incremental_removed;
             shard.global_of = Arc::new(new_global_of);
             // Stats over live members.
             halo += members
@@ -844,6 +855,11 @@ impl ShardedService {
         state.owner = Arc::new(owner);
         state.halo = halo;
         state.skew = skew_pct(edge_loads.into_iter());
+        // Standing sets are global: one maintenance pass over the global
+        // commit, whatever the shard count.
+        let (incremental_added, incremental_removed) =
+            apply_all(&mut state.standing, &committed, self.cfg.service.workers);
+        state.incremental += incremental_added + incremental_removed;
         // Threshold compaction, still under the write lock so the
         // snapshot captures exactly this epoch. Replay never triggers
         // it: the store is not installed until recovery finishes.
@@ -880,33 +896,28 @@ impl ShardedService {
             .snapshot()
     }
 
-    /// Register a standing query on every shard; its merged embedding
-    /// set stays current across [`ShardedService::apply_update`] calls.
-    /// Returns `None` for queries the tier does not support.
+    /// Register a standing query: its embedding set is enumerated once
+    /// on the global graph and then maintained by every
+    /// [`ShardedService::apply_update`]. Returns `None` for queries the
+    /// incremental engine does not support (no edges, or disconnected) —
+    /// the same rule as [`Service::register_standing`], with no halo
+    /// bound.
     pub fn register_standing(&self, query: &Graph) -> Option<ShardStandingId> {
         self.register_standing_impl(query, true)
     }
 
     /// [`ShardedService::register_standing`] body with a durability
     /// switch: the live path logs one `Standing` WAL record at the
-    /// router (never per shard); the recovery replay path must not
-    /// re-append the record it is replaying.
+    /// router; the recovery replay path must not re-append the record it
+    /// is replaying.
     fn register_standing_impl(&self, query: &Graph, log: bool) -> Option<ShardStandingId> {
-        if !self.supports(query) {
-            return None;
-        }
-        // Write lock: the per-shard initial enumerations must all see
-        // the same epoch.
+        // Write lock: the enumeration sees exactly the epoch the next
+        // update commits against.
         let mut state = self.state.write().expect("state poisoned");
-        let ids: Option<Vec<sm_service::StandingId>> = state
-            .shards
-            .iter()
-            .map(|s| s.service.register_standing(query))
-            .collect();
-        // Support depends only on the query, so the shards agree.
-        let ids = ids?;
-        state.standing.push(ids);
-        state.standing_queries.push(query.clone());
+        let (_, graph, nlf) = state.versioned.export_head();
+        let label_pairs = sm_graph::label_index::LabelPairEdgeCounts::build(&graph);
+        let set = StandingSet::register(query, &DataContext::from_parts(&graph, nlf, label_pairs))?;
+        state.standing.push(set);
         let index = state.standing.len() - 1;
         if log {
             if let Some(store) = state.durable.as_mut() {
@@ -936,29 +947,42 @@ impl ShardedService {
             .ok_or(StandingError::UnsupportedQuery)
     }
 
-    /// Current merged embedding set of a standing query, in global
-    /// vertex ids, sorted — each embedding exactly once (minimum-id
-    /// ownership, same rule as the query path).
+    /// Current embedding set of a standing query, in global vertex ids,
+    /// sorted.
     pub fn standing_matches(&self, id: ShardStandingId) -> Vec<Vec<VertexId>> {
-        let state = self.state.read().expect("state poisoned");
-        merged_standing(&state, id.0)
+        self.state.read().expect("state poisoned").standing[id.0]
+            .matches()
+            .to_vec()
     }
 
-    /// Current merged embedding count of a standing query.
+    /// Current embedding count of a standing query.
     pub fn standing_count(&self, id: ShardStandingId) -> usize {
-        self.standing_matches(id).len()
+        self.state.read().expect("state poisoned").standing[id.0]
+            .matches()
+            .len()
     }
 
     /// Merged counters: every shard service's block plus the router's
-    /// shard-path counters (`queries_fanned_out`,
-    /// `boundary_embeddings_stitched`, the `halo_vertices_replicated`
-    /// and `shard_skew` gauges, and router-level rejections).
+    /// own — the shard-path counters (`queries_fanned_out`,
+    /// `boundary_embeddings_stitched`, router-level rejections,
+    /// `topk_early_exits`), the `halo_vertices_replicated` and
+    /// `shard_skew` gauges, standing-query maintenance
+    /// (`incremental_embeddings`) and durability.
     pub fn counters(&self) -> CounterBlock {
         let state = self.state.read().expect("state poisoned");
-        let mut b = CounterBlock::new();
+        let mut b = self.router_counters(&state);
         for s in &state.shards {
             b.merge(&s.service.counters());
         }
+        b
+    }
+
+    /// The counters that live at the router, outside any shard service —
+    /// the one block [`ShardedService::counters`],
+    /// [`ShardedService::metrics_report`] and the drop-time trace flush
+    /// all fold in.
+    fn router_counters(&self, state: &RouterState) -> CounterBlock {
+        let mut b = CounterBlock::new();
         b.add(
             Counter::QueriesFannedOut,
             self.fanned.load(Ordering::Relaxed),
@@ -977,6 +1001,7 @@ impl ShardedService {
         );
         b.record_max(Counter::HaloVerticesReplicated, state.halo);
         b.record_max(Counter::ShardSkew, state.skew);
+        b.add(Counter::IncrementalEmbeddings, state.incremental);
         if let Some(store) = state.durable.as_ref() {
             b.add(Counter::WalAppends, store.wal_appends());
             b.add(Counter::WalBytes, store.wal_bytes());
@@ -990,9 +1015,9 @@ impl ShardedService {
     /// A coherent telemetry snapshot of the tier: every shard's
     /// [`sm_service::Service::metrics_report`] taken under one read
     /// lock (no torn epoch), merged into a single cross-shard report
-    /// with the router's shard-path counters and gauges folded in,
-    /// plus the per-shard reports for skew diagnosis. Cheap enough to
-    /// poll every second — this is what `experiments top` renders live.
+    /// with the router's own counters and gauges folded in, plus the
+    /// per-shard reports for skew diagnosis. Cheap enough to poll every
+    /// second — this is what `experiments top` renders live.
     pub fn metrics_report(&self) -> ShardedMetricsReport {
         let state = self.state.read().expect("state poisoned");
         let per_shard: Vec<MetricsReport> = state
@@ -1005,28 +1030,7 @@ impl ShardedService {
         for r in iter {
             merged.merge_from(r);
         }
-        // The router's own shard-path counters live outside any shard
-        // service — fold them in exactly as `counters()` does.
-        merged.counters.add(
-            Counter::QueriesFannedOut,
-            self.fanned.load(Ordering::Relaxed),
-        );
-        merged.counters.add(
-            Counter::BoundaryEmbeddingsStitched,
-            self.stitched.load(Ordering::Relaxed),
-        );
-        merged.counters.add(
-            Counter::QueriesRejected,
-            self.rejected.load(Ordering::Relaxed),
-        );
-        merged.counters.add(
-            Counter::TopkEarlyExits,
-            self.topk_exits.load(Ordering::Relaxed),
-        );
-        merged
-            .counters
-            .record_max(Counter::HaloVerticesReplicated, state.halo);
-        merged.counters.record_max(Counter::ShardSkew, state.skew);
+        merged.counters.merge(&self.router_counters(&state));
         ShardedMetricsReport { merged, per_shard }
     }
 
@@ -1060,50 +1064,22 @@ impl ShardedService {
 impl Drop for ShardedService {
     fn drop(&mut self) {
         // Shard services flush their own counters; the router adds only
-        // its shard-path block.
+        // its own block.
         if self.cfg.service.trace.is_enabled() {
             let state = self.state.read().expect("state poisoned");
-            let mut b = CounterBlock::new();
-            b.add(
-                Counter::QueriesFannedOut,
-                self.fanned.load(Ordering::Relaxed),
-            );
-            b.add(
-                Counter::BoundaryEmbeddingsStitched,
-                self.stitched.load(Ordering::Relaxed),
-            );
-            b.record_max(Counter::HaloVerticesReplicated, state.halo);
-            b.record_max(Counter::ShardSkew, state.skew);
-            self.cfg.service.trace.flush_counters(0, &b);
+            self.cfg
+                .service
+                .trace
+                .flush_counters(0, &self.router_counters(&state));
         }
     }
-}
-
-/// Merged embedding set of standing query `idx` in global vertex ids,
-/// sorted, each embedding exactly once (minimum-id ownership) — callable
-/// under either lock mode.
-fn merged_standing(state: &RouterState, idx: usize) -> Vec<Vec<VertexId>> {
-    let ids = &state.standing[idx];
-    let mut out = Vec::new();
-    for (si, shard) in state.shards.iter().enumerate() {
-        for m in shard.service.standing_matches(ids[si]) {
-            let gm: Vec<VertexId> = m.iter().map(|&l| shard.global_of[l as usize]).collect();
-            let vmin = *gm.iter().min().expect("nonempty embedding");
-            if state.owner[vmin as usize] as usize == si {
-                out.push(gm);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
 }
 
 /// The tier's durable state: the *global* graph (from the router's
 /// versioned source of truth — per-shard graphs are derived and never
-/// persisted) plus every standing query with its merged global
-/// embedding set. The epoch is the router epoch, not the versioned
-/// graph's internal one — the two diverge after a recovery resets the
-/// overlay.
+/// persisted) plus every standing query with its global embedding set.
+/// The epoch is the router epoch, not the versioned graph's internal one
+/// — the two diverge after a recovery resets the overlay.
 fn snapshot_data(state: &RouterState) -> SnapshotData {
     let (_, graph, nlf) = state.versioned.export_head();
     let label_pairs = sm_graph::label_index::LabelPairEdgeCounts::build(&graph);
@@ -1112,15 +1088,7 @@ fn snapshot_data(state: &RouterState) -> SnapshotData {
         graph,
         nlf,
         label_pairs,
-        standing: state
-            .standing_queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| StandingSnapshot {
-                query: q.clone(),
-                matches: merged_standing(state, i),
-            })
-            .collect(),
+        standing: state.standing.iter().map(StandingSnapshot::from).collect(),
     }
 }
 

@@ -6,14 +6,17 @@
 //!    of two regions atomically; a torn scatter would observe exactly
 //!    one of them.
 //! 2. **Standing queries stay exactly-once correct** after cross-shard
-//!    edge insertions and deletions: the merged sharded standing set
-//!    equals the single-service standing set after every batch of a
-//!    seeded update stream.
+//!    edge insertions and deletions: the sharded standing set equals the
+//!    single-service standing set after every batch of a seeded update
+//!    stream, and the tier reports and counts each added or retracted
+//!    embedding once, as the single service does — also for a standing
+//!    query wider than the halo.
 
 use sm_delta::{UpdateBatch, UpdateStream, UpdateStreamSpec};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::Graph;
+use sm_runtime::trace::Counter;
 use sm_service::{Service, ServiceConfig, ServiceOutcome};
 use sm_shard::{PartitionStrategy, ShardConfig, ShardedService};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,9 +106,22 @@ fn noop_batches_keep_the_epoch() {
     assert_eq!(svc.epoch(), before);
 }
 
+/// The seeded update stream the standing-agreement tests replay.
+fn agreement_stream(seed: u64) -> UpdateStream {
+    UpdateStream::new(
+        UpdateStreamSpec {
+            batch_size: 24,
+            insert_ratio: 0.5,
+            vertex_add_ratio: 0.15,
+            num_labels: 2,
+        },
+        seed ^ 0xD1CE,
+    )
+}
+
 /// Apply the same seeded update stream to a single service and the
-/// sharded tier; after every batch the standing sets and live counts
-/// must agree embedding-for-embedding.
+/// sharded tier; after every batch the standing sets, the incremental
+/// report counts and live counts must agree embedding-for-embedding.
 fn standing_agreement(strategy: PartitionStrategy, shards: usize, seed: u64) {
     let g = rmat_graph(140, 5.0, 2, RmatParams::PAPER, seed);
     let single = Service::new(g.clone(), ServiceConfig::default());
@@ -130,20 +146,18 @@ fn standing_agreement(strategy: PartitionStrategy, shards: usize, seed: u64) {
         sharded.standing_matches(h_tri),
         "initial standing sets agree"
     );
-    let mut stream = UpdateStream::new(
-        UpdateStreamSpec {
-            batch_size: 24,
-            insert_ratio: 0.5,
-            vertex_add_ratio: 0.15,
-            num_labels: 2,
-        },
-        seed ^ 0xD1CE,
-    );
+    let mut stream = agreement_stream(seed);
     for step in 0..8 {
         let batch = stream.next_batch(&sharded.snapshot());
         let srep = single.apply_update(&batch);
         let hrep = sharded.apply_update(&batch);
         assert_eq!(srep.noop, hrep.noop, "step {step}");
+        // Each embedding counts once, halo replicas or not.
+        assert_eq!(
+            (hrep.incremental_added, hrep.incremental_removed),
+            (srep.incremental_added, srep.incremental_removed),
+            "step {step}: incremental report counts diverged ({strategy:?} x {shards})"
+        );
         assert_eq!(
             single.standing_matches(s_tri),
             sharded.standing_matches(h_tri),
@@ -161,6 +175,16 @@ fn standing_agreement(strategy: PartitionStrategy, shards: usize, seed: u64) {
             "step {step}: live counts diverged"
         );
     }
+    let incremental = single.counters().get(Counter::IncrementalEmbeddings);
+    assert!(
+        incremental > 0,
+        "the stream changed some standing embeddings"
+    );
+    assert_eq!(
+        sharded.counters().get(Counter::IncrementalEmbeddings),
+        incremental,
+        "the router counts each maintained embedding once"
+    );
 }
 
 #[test]
@@ -176,6 +200,53 @@ fn standing_queries_stay_exact_hash_4() {
 #[test]
 fn standing_queries_stay_exact_label_aware_3() {
     standing_agreement(PartitionStrategy::LabelAware, 3, 37);
+}
+
+#[test]
+fn standing_query_wider_than_the_halo_stays_exact() {
+    // Standing sets live at the router's global commit, so a query of
+    // diameter 3 registers on a halo-1 tier that cannot answer it as a
+    // live query, and tracks the single service across the stream.
+    let seed = 11;
+    let g = rmat_graph(140, 5.0, 2, RmatParams::PAPER, seed);
+    let single = Service::new(g.clone(), ServiceConfig::default());
+    let sharded = ShardedService::new(
+        g,
+        ShardConfig {
+            shards: 2,
+            strategy: PartitionStrategy::Hash,
+            halo_depth: 1,
+            seed,
+            ..ShardConfig::default()
+        },
+    );
+    let path = graph_from_edges(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3)]);
+    assert!(!sharded.supports(&path));
+    let s_path = single.register_standing(&path).expect("single supports");
+    let h_path = sharded
+        .register_standing(&path)
+        .expect("standing registration has no halo bound");
+    assert!(sharded.standing_count(h_path) > 0);
+    assert_eq!(
+        single.standing_matches(s_path),
+        sharded.standing_matches(h_path)
+    );
+    let mut stream = agreement_stream(seed);
+    for step in 0..8 {
+        let batch = stream.next_batch(&sharded.snapshot());
+        let srep = single.apply_update(&batch);
+        let hrep = sharded.apply_update(&batch);
+        assert_eq!(
+            (hrep.incremental_added, hrep.incremental_removed),
+            (srep.incremental_added, srep.incremental_removed),
+            "step {step}"
+        );
+        assert_eq!(
+            single.standing_matches(s_path),
+            sharded.standing_matches(h_path),
+            "step {step}: wide standing query diverged"
+        );
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Full local gate: formatting, release build, workspace tests, clippy with
-# warnings denied, rustdoc with warnings denied, plus the observability
+# Full local gate: formatting, release build, workspace tests, clippy over
+# every workspace crate and target with warnings denied, rustdoc with
+# warnings denied, plus the observability
 # smoke checks (trace overhead stays inside the bound; JSONL run profiles
 # round-trip and validate), the service-layer concurrency smoke (two
 # clients on a shared Service; asserts sequential-vs-concurrent count
@@ -27,7 +28,7 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 cargo build --release -p sm-bench
